@@ -28,10 +28,8 @@ pub struct CicEnv {
 }
 
 /// One process's CIC state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Cic {
-    #[allow(dead_code)]
-    id: ProcessId,
     /// Current checkpoint index.
     sn: u64,
     /// Index at the previous scheduled tick; a basic checkpoint is skipped
@@ -42,11 +40,6 @@ pub struct Cic {
 }
 
 impl Cic {
-    /// A new instance for process `id`.
-    pub fn new(id: ProcessId) -> Self {
-        Cic { id, sn: 0, sn_at_last_tick: 0, stats: Counters::new() }
-    }
-
     /// Current index (for tests and drivers).
     pub fn sn(&self) -> u64 {
         self.sn
@@ -142,7 +135,7 @@ mod tests {
 
     #[test]
     fn basic_checkpoint_increments_index() {
-        let mut c = Cic::new(ProcessId(0));
+        let mut c = Cic::default();
         let mut out = Vec::new();
         c.initiate(&mut out);
         assert_eq!(c.sn(), 1);
@@ -153,7 +146,7 @@ mod tests {
 
     #[test]
     fn higher_index_forces_checkpoint_before_processing() {
-        let mut c = Cic::new(ProcessId(1));
+        let mut c = Cic::default();
         let mut out = Vec::new();
         let d = c
             .on_arrival(ProcessId(0), MsgId(0), CicEnv { payload: pl(10), sn: 3 }, &mut out)
@@ -170,7 +163,7 @@ mod tests {
 
     #[test]
     fn equal_or_lower_index_processes_directly() {
-        let mut c = Cic::new(ProcessId(1));
+        let mut c = Cic::default();
         let mut out = Vec::new();
         c.initiate(&mut out); // sn = 1
         out.clear();
@@ -188,7 +181,7 @@ mod tests {
 
     #[test]
     fn piggyback_carries_current_index() {
-        let mut c = Cic::new(ProcessId(0));
+        let mut c = Cic::default();
         let mut out = Vec::new();
         c.initiate(&mut out);
         c.initiate(&mut out);
@@ -198,7 +191,7 @@ mod tests {
 
     #[test]
     fn wire_bytes_include_index() {
-        let c = Cic::new(ProcessId(0));
+        let c = Cic::default();
         let env = CicEnv { payload: pl(100), sn: 1 };
         assert_eq!(c.env_wire_bytes(&env), wire_cost::app(100, 8));
     }

@@ -24,20 +24,13 @@ pub struct UncoordEnv {
 }
 
 /// One process's uncoordinated-checkpointing state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Uncoordinated {
-    #[allow(dead_code)]
-    id: ProcessId,
     seq: u64,
     stats: Counters,
 }
 
 impl Uncoordinated {
-    /// A new instance for process `id`.
-    pub fn new(id: ProcessId) -> Self {
-        Uncoordinated { id, seq: 0, stats: Counters::new() }
-    }
-
     /// Local checkpoint count so far.
     pub fn seq(&self) -> u64 {
         self.seq
@@ -97,7 +90,7 @@ mod tests {
 
     #[test]
     fn checkpoints_are_local_and_sequential() {
-        let mut u = Uncoordinated::new(ProcessId(2));
+        let mut u = Uncoordinated::default();
         let mut out = Vec::new();
         u.initiate(&mut out);
         u.initiate(&mut out);
@@ -108,7 +101,7 @@ mod tests {
 
     #[test]
     fn no_piggyback_no_control() {
-        let mut u = Uncoordinated::new(ProcessId(0));
+        let mut u = Uncoordinated::default();
         let mut out = Vec::new();
         let env = u.wrap_app(ProcessId(1), MsgId(0), AppPayload { id: 1, len: 10 }, &mut out);
         assert!(out.is_empty());

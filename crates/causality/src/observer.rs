@@ -7,7 +7,9 @@
 //! paper's Theorem 2 ("finalized checkpoints with equal sequence number form
 //! a consistent global checkpoint") into a machine-checked property.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+#[cfg(debug_assertions)]
+use std::collections::HashSet;
 
 use ocpt_sim::{MsgId, ProcessId, SimTime};
 
@@ -23,13 +25,22 @@ pub struct EventPos {
     pub idx: u64,
 }
 
-/// Observed endpoints of one application message.
-#[derive(Clone, Debug, Default)]
+/// Observed endpoints of one application message: a fixed-size record,
+/// appended at the send and completed at the receive.
+#[derive(Clone, Copy, Debug)]
 struct MsgRecord {
-    send: Option<EventPos>,
+    id: MsgId,
+    send: EventPos,
     recv: Option<EventPos>,
-    /// Sender's clock right after the send event (piggybacked oracle-side).
-    send_clock: Option<VClock>,
+}
+
+/// A message sent but not yet received: the slot of its record and the
+/// sender's clock right after the send event (piggybacked oracle-side).
+/// The receive takes the clock out, so only in-flight messages hold one.
+#[derive(Debug)]
+struct InFlight {
+    slot: usize,
+    clock: VClock,
 }
 
 /// One finalized checkpoint of one process, as the oracle saw it.
@@ -98,11 +109,18 @@ pub struct GlobalObserver {
     /// Clock of each process *before* its most recent event — needed for
     /// checkpoint cuts that step one event back (OCPT's excluded trigger).
     prev_clocks: Vec<VClock>,
-    /// Message records keyed by id. A `BTreeMap` so that every iteration
-    /// (`judge_cut`, `messages`) walks in `MsgId` order — the reports this
-    /// observer produces feed byte-identity-pinned output, so iteration
-    /// order must be a function of the run, never of hash state.
-    msgs: BTreeMap<MsgId, MsgRecord>,
+    /// Message records in send order. Ids need not follow send order (the
+    /// threaded runtime numbers messages `(pid << 40) | k`), so every
+    /// report built from this table is sorted by id before it leaves —
+    /// reports feed byte-identity-pinned output.
+    msgs: Vec<MsgRecord>,
+    /// Messages sent and not yet received, by id. Only ever accessed by
+    /// key, never iterated, so hash order cannot reach any output.
+    in_flight: HashMap<MsgId, InFlight>,
+    /// Every id ever sent, for the duplicate-send and duplicate-receive
+    /// assertions (debug builds only).
+    #[cfg(debug_assertions)]
+    sent: HashSet<MsgId>,
     /// Finalized checkpoints per process, sorted by `csn`.
     ckpts: Vec<Vec<CkptRecord>>,
 }
@@ -115,7 +133,10 @@ impl GlobalObserver {
             next_idx: vec![0; n],
             clocks: (0..n).map(|_| VClock::zero(n)).collect(),
             prev_clocks: (0..n).map(|_| VClock::zero(n)).collect(),
-            msgs: BTreeMap::new(),
+            msgs: Vec::new(),
+            in_flight: HashMap::new(),
+            #[cfg(debug_assertions)]
+            sent: HashSet::new(),
             ckpts: vec![Vec::new(); n],
         }
     }
@@ -139,29 +160,34 @@ impl GlobalObserver {
         // Vec allocation on this (hot) path.
         self.prev_clocks[pid.index()].clone_from(&self.clocks[pid.index()]);
         self.clocks[pid.index()].tick(pid);
-        let rec = self.msgs.entry(msg).or_default();
-        debug_assert!(rec.send.is_none(), "duplicate send for {msg:?}");
-        rec.send = Some(EventPos { pid, idx });
-        rec.send_clock = Some(self.clocks[pid.index()].clone());
+        #[cfg(debug_assertions)]
+        assert!(self.sent.insert(msg), "duplicate send for {msg:?}");
+        let slot = self.msgs.len();
+        self.msgs.push(MsgRecord { id: msg, send: EventPos { pid, idx }, recv: None });
+        self.in_flight.insert(msg, InFlight { slot, clock: self.clocks[pid.index()].clone() });
         idx
     }
 
     /// Record a receive event at `pid` of message `msg`; returns the local
-    /// index. The clock merge uses the clock retained at `on_send` (a
-    /// receive of a never-sent message is a harness bug and panics in
-    /// debug builds; in release it merges nothing).
+    /// index. The clock merge uses the clock retained at `on_send`, which
+    /// is dropped here (a receive of a never-sent or already-received
+    /// message is a harness bug and panics in debug builds; in release it
+    /// merges and records nothing).
     pub fn on_recv(&mut self, pid: ProcessId, msg: MsgId) -> u64 {
         let idx = self.bump(pid);
         self.prev_clocks[pid.index()].clone_from(&self.clocks[pid.index()]);
-        let sender_clock = self.msgs.get(&msg).and_then(|r| r.send_clock.clone());
-        debug_assert!(sender_clock.is_some(), "receive of unknown message {msg:?}");
-        if let Some(c) = sender_clock {
-            self.clocks[pid.index()].merge(&c);
+        match self.in_flight.remove(&msg) {
+            Some(InFlight { slot, clock }) => {
+                self.clocks[pid.index()].merge(&clock);
+                self.msgs[slot].recv = Some(EventPos { pid, idx });
+            }
+            None => {
+                #[cfg(debug_assertions)]
+                assert!(!self.sent.contains(&msg), "duplicate receive for {msg:?}");
+                debug_assert!(false, "receive of unknown message {msg:?}");
+            }
         }
         self.clocks[pid.index()].tick(pid);
-        let rec = self.msgs.entry(msg).or_default();
-        debug_assert!(rec.recv.is_none(), "duplicate receive for {msg:?}");
-        rec.recv = Some(EventPos { pid, idx });
         idx
     }
 
@@ -201,6 +227,11 @@ impl GlobalObserver {
         self.next_idx.clone()
     }
 
+    /// Current local event count of one process.
+    pub fn position(&self, pid: ProcessId) -> u64 {
+        self.next_idx[pid.index()]
+    }
+
     /// Sequence numbers for which **all** `n` processes have finalized.
     pub fn complete_csns(&self) -> Vec<u64> {
         // Intersect the per-process (sorted) csn sequences, seeded from the
@@ -228,31 +259,28 @@ impl GlobalObserver {
     pub fn judge_cut(&self, csn: u64, cut: &Cut) -> CutReport {
         let mut orphans = Vec::new();
         let mut in_transit = Vec::new();
-        for (msg, rec) in &self.msgs {
-            let (Some(send), recv) = (rec.send, rec.recv) else {
-                continue;
-            };
+        for &MsgRecord { id: msg, send, recv } in &self.msgs {
             let sent_inside = cut.contains(send.pid, send.idx);
             match recv {
                 Some(recv) => {
                     let recvd_inside = cut.contains(recv.pid, recv.idx);
                     if recvd_inside && !sent_inside {
-                        orphans.push(Orphan { msg: *msg, send, recv });
+                        orphans.push(Orphan { msg, send, recv });
                     } else if sent_inside && !recvd_inside {
-                        in_transit.push(InTransit { msg: *msg, send });
+                        in_transit.push(InTransit { msg, send });
                     }
                 }
                 None => {
                     if sent_inside {
-                        in_transit.push(InTransit { msg: *msg, send });
+                        in_transit.push(InTransit { msg, send });
                     }
                 }
             }
         }
-        // `msgs` iterates in key order, so both lists are already sorted
-        // by message id.
-        debug_assert!(orphans.windows(2).all(|w| w[0].msg < w[1].msg));
-        debug_assert!(in_transit.windows(2).all(|w| w[0].msg < w[1].msg));
+        // Send order is usually id order, and sorting already-sorted input
+        // is a single linear pass.
+        orphans.sort_unstable_by_key(|o| o.msg);
+        in_transit.sort_unstable_by_key(|t| t.msg);
         CutReport { csn, orphans, in_transit }
     }
 
@@ -271,7 +299,7 @@ impl GlobalObserver {
     pub fn vclock_consistent(&self, csn: u64) -> Option<bool> {
         let mut clocks = Vec::with_capacity(self.n);
         for pid in ProcessId::all(self.n) {
-            clocks.push(self.ckpt(pid, csn)?.clock.clone());
+            clocks.push(&self.ckpt(pid, csn)?.clock);
         }
         Some(pairwise_consistent(&clocks))
     }
@@ -289,8 +317,9 @@ impl GlobalObserver {
     /// All messages with their endpoints (receive endpoint `None` while in
     /// flight), sorted by id. Used by the rollback/domino analysis.
     pub fn messages(&self) -> Vec<(MsgId, EventPos, Option<EventPos>)> {
-        // Key-ordered map: the result is sorted by id without a sort pass.
-        self.msgs.iter().filter_map(|(id, r)| r.send.map(|s| (*id, s, r.recv))).collect()
+        let mut all: Vec<_> = self.msgs.iter().map(|r| (r.id, r.send, r.recv)).collect();
+        all.sort_unstable_by_key(|&(id, _, _)| id);
+        all
     }
 
     /// The recorded checkpoint cut positions of one process, sorted by
@@ -388,6 +417,23 @@ mod tests {
         let r = o.judge(1).unwrap();
         assert!(r.is_consistent());
         assert_eq!(o.vclock_consistent(1), Some(true));
+    }
+
+    #[test]
+    fn received_messages_release_their_sender_clocks() {
+        let mut o = GlobalObserver::new(3);
+        o.on_send(p(0), MsgId(1));
+        o.on_send(p(1), MsgId(2));
+        o.on_send(p(2), MsgId(3));
+        assert_eq!(o.in_flight.len(), 3);
+        o.on_recv(p(2), MsgId(2));
+        o.on_recv(p(0), MsgId(3));
+        assert_eq!(o.in_flight.len(), 1);
+        o.on_recv(p(1), MsgId(1));
+        assert!(o.in_flight.is_empty());
+        // The endpoint records outlive the clocks.
+        assert_eq!(o.message_count(), 3);
+        assert!(o.messages().iter().all(|(_, _, recv)| recv.is_some()));
     }
 
     #[test]

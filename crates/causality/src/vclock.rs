@@ -6,6 +6,8 @@
 //! observer timestamps every event, and consistency of the collected global
 //! checkpoints is then checked against the oracle.
 
+use std::borrow::Borrow;
+
 use ocpt_sim::ProcessId;
 
 /// Outcome of comparing two vector clocks under happened-before.
@@ -112,10 +114,13 @@ impl VClock {
 /// iff its members are **pairwise concurrent or equal** — no member happened
 /// before another. This is the classical vector-clock characterisation used
 /// as a second, independent oracle next to the orphan-message check.
-pub fn pairwise_consistent(clocks: &[VClock]) -> bool {
+///
+/// Accepts owned clocks or references, so callers holding clocks
+/// elsewhere need not clone them.
+pub fn pairwise_consistent<C: Borrow<VClock>>(clocks: &[C]) -> bool {
     for i in 0..clocks.len() {
         for j in (i + 1)..clocks.len() {
-            match clocks[i].compare(&clocks[j]) {
+            match clocks[i].borrow().compare(clocks[j].borrow()) {
                 Causality::Before | Causality::After => return false,
                 _ => {}
             }

@@ -126,8 +126,8 @@ pub fn run(algo: &Algo, cfg: RunConfig) -> RunResult {
         }
         Algo::KooToueg => Runner::new(cfg, |pid, n, _| KooToueg::new(pid, n)).run(),
         Algo::Staggered => Runner::new(cfg, |pid, n, _| Staggered::new(pid, n)).run(),
-        Algo::Cic => Runner::new(cfg, |pid, _, _| Cic::new(pid)).run(),
-        Algo::Uncoordinated => Runner::new(cfg, |pid, _, _| Uncoordinated::new(pid)).run(),
+        Algo::Cic => Runner::new(cfg, |_, _, _| Cic::default()).run(),
+        Algo::Uncoordinated => Runner::new(cfg, |_, _, _| Uncoordinated::default()).run(),
     }
 }
 

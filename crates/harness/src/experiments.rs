@@ -514,11 +514,13 @@ pub fn e10_log_matrix(base: ExpParams, crash_ms: u64, only: Option<LoggingKind>)
 /// thousand simulator events at any N — the sweep measures *per-process
 /// protocol cost*, not raw event throughput.
 ///
-/// The omniscient consistency observer costs O(N²)-ish memory and is the
-/// one component that cannot reach N = 100k; it stays on at the small
-/// sizes (where it verifies every collected checkpoint) and off above
-/// 1 000 — the protocol code paths are identical either way, and the
-/// flat-vs-grouped differential tests cover the large-N topology.
+/// The omniscient consistency observer holds O(N²) words of per-process
+/// clocks, one fixed-size record per message and one clock per in-flight
+/// message, and is the one component that cannot reach N = 100k; it
+/// stays on at the small sizes (where it verifies every collected
+/// checkpoint) and off above 1 000 — the protocol code paths are
+/// identical either way, and the flat-vs-grouped differential tests cover
+/// the large-N topology.
 pub fn scale_config(n: usize, seed: u64) -> RunConfig {
     let (gap_ms, dur_ms) = match n {
         0..=1_000 => (10, 1_500),

@@ -62,8 +62,10 @@ pub struct RunConfig {
     pub gc_old_checkpoints: bool,
     /// Record a trace (event-by-event; for tests and examples).
     pub trace: bool,
-    /// Feed the consistency observer (costs memory proportional to the
-    /// message count; on for tests, off for the largest benches).
+    /// Feed the consistency observer. Its memory is O(N²) words of
+    /// per-process clocks, one fixed-size record per message and one
+    /// clock per in-flight message; on for tests, off for the largest
+    /// benches.
     pub observe: bool,
     /// Which event-queue implementation drives the run (the timing wheel
     /// by default; the reference heap exists for differential testing —
@@ -937,7 +939,7 @@ impl<P: CheckpointProtocol> Runner<P> {
                 }
                 ProtoAction::MarkCut { seq, back } => {
                     if let Some(obs) = self.observer.as_mut() {
-                        let pos = obs.positions()[pid.index()] - back as u64;
+                        let pos = obs.position(pid) - back as u64;
                         obs.on_finalize(pid, seq, pos, now);
                     }
                     let state =

@@ -130,7 +130,7 @@ pub fn run_node(ctx: NodeCtx) {
                     *trigger_back = u32::from(excluded.is_some());
                     {
                         let mut obs = observer.lock();
-                        let pos = obs.positions()[pid.index()] - *trigger_back as u64;
+                        let pos = obs.position(pid) - *trigger_back as u64;
                         obs.on_finalize(pid, csn, pos, ocpt_sim::SimTime::ZERO);
                     }
                     let _ = status.send(StatusEvent::Finalized { pid, csn });

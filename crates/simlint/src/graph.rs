@@ -370,9 +370,18 @@ impl Graph {
     /// impl owner) and by `use` imports; `.method(` calls with std
     /// container names are never linked.
     pub fn resolve(&self, call: &CallSite) -> Vec<usize> {
-        let Some(cands) = self.by_name.get(&call.name) else { return Vec::new() };
+        let Some(named) = self.by_name.get(&call.name) else { return Vec::new() };
         let caller_file = self.fns[call.caller].file;
         let caller_crate = &self.files[caller_file].crate_key;
+        // Nothing outside a nested workspace can call into it.
+        let cands: Vec<usize> = named
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let krate = &self.files[self.fns[i].file].crate_key;
+                krate == caller_crate || !workspace::NESTED_WORKSPACES.contains(&krate.as_str())
+            })
+            .collect();
         match &call.qual {
             CallQual::Method => {
                 if BUILTIN_METHODS.contains(&call.name.as_str()) {
@@ -1064,6 +1073,20 @@ mod tests {
         let leaf_ids = g.resolve(calls[1]);
         assert_eq!(leaf_ids.len(), 1);
         assert_eq!(g.fq_name(leaf_ids[0]), "sim::leaf");
+    }
+
+    #[test]
+    fn calls_never_link_into_a_nested_workspace() {
+        let g = build(&[
+            ("perfbench/src/w.rs", "pub fn run_job() {}\nfn bench() { run_job(); }"),
+            ("crates/harness/src/g.rs", "fn grid() { run_job(); }"),
+        ]);
+        let caller = |name: &str| {
+            let f = g.fns.iter().position(|x| x.name == name).expect("caller parsed");
+            g.calls.iter().find(|c| c.caller == f).expect("one call")
+        };
+        assert!(g.resolve(caller("grid")).is_empty(), "harness cannot call the benchmark");
+        assert_eq!(g.resolve(caller("bench")).len(), 1, "the benchmark calls itself");
     }
 
     #[test]

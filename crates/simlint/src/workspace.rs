@@ -38,6 +38,12 @@ const DETERMINISTIC: &[&str] = &[
 /// third-party subsets we do not own the style of.
 const SKIP_DIRS: &[&str] = &["target", ".git", "compat", ".github"];
 
+/// Directories holding a Cargo workspace of their own that builds against
+/// this one by path (the benchmark). Each maps to its own crate key, and
+/// call resolution never links into one from outside it: it depends on
+/// this workspace, never the reverse.
+pub const NESTED_WORKSPACES: &[&str] = &["perfbench"];
+
 /// The tier of a crate key from [`crate_key`].
 pub fn tier_of(key: &str) -> Tier {
     if DETERMINISTIC.contains(&key) {
@@ -48,12 +54,17 @@ pub fn tier_of(key: &str) -> Tier {
 }
 
 /// Map a root-relative path (forward slashes) to its owning crate key:
-/// `crates/<name>/…` → `<name>`, anything else (root `src/`, `tests/`,
-/// `examples/`) → `root`.
+/// `crates/<name>/…` → `<name>`, a [`NESTED_WORKSPACES`] directory → its
+/// name, anything else (root `src/`, `tests/`, `examples/`) → `root`.
 pub fn crate_key(rel: &str) -> String {
     if let Some(rest) = rel.strip_prefix("crates/") {
         if let Some((name, _)) = rest.split_once('/') {
             return name.to_string();
+        }
+    }
+    if let Some((top, _)) = rel.split_once('/') {
+        if NESTED_WORKSPACES.contains(&top) {
+            return top.to_string();
         }
     }
     "root".to_string()
@@ -134,6 +145,7 @@ mod tests {
         assert_eq!(crate_key("crates/core/tests/proptests.rs"), "core");
         assert_eq!(crate_key("src/lib.rs"), "root");
         assert_eq!(crate_key("tests/determinism.rs"), "root");
+        assert_eq!(crate_key("perfbench/src/workload.rs"), "perfbench");
     }
 
     #[test]
