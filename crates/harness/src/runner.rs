@@ -1062,6 +1062,16 @@ impl<P: CheckpointProtocol> Runner<P> {
     fn pump_storage(&mut self, now: SimTime) {
         self.server.advance(now);
         let completions = self.server.take_completed();
+        // Record every completion first: each is at its own instant
+        // `c.at <= now`, while handling one may record follow-on events
+        // (the next queued write's start) at `now`.
+        for c in &completions {
+            if let Some(w) = self.pending_writes.get(&c.req) {
+                self.trace.record_seq_with(c.at, w.pid, TraceKind::StorageDone, w.seq, || {
+                    format!("{:?} {}B", w.kind, w.bytes)
+                });
+            }
+        }
         for c in completions {
             let Some(w) = self.pending_writes.remove(&c.req) else {
                 continue;
@@ -1071,9 +1081,6 @@ impl<P: CheckpointProtocol> Runner<P> {
                 WriteKind::Extra => w.bytes,
             };
             self.unstage(released);
-            self.trace.record_seq_with(c.at, w.pid, TraceKind::StorageDone, w.seq, || {
-                format!("{:?} {}B", w.kind, w.bytes)
-            });
             let notify = {
                 let p = self.progress.entry((w.pid.0, w.seq)).or_default();
                 match w.kind {

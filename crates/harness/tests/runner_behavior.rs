@@ -193,3 +193,39 @@ fn piggyback_and_ctrl_byte_accounting() {
         assert_eq!(r.ctrl_bytes, r.ctrl_messages * 15, "ctrl messages are 15 B");
     }
 }
+
+#[test]
+fn simultaneous_write_completions_keep_the_trace_monotone() {
+    // Two processes checkpoint on the same tick (no stagger) with
+    // equal-size state writes, and each queues its log write behind its
+    // state write (eager flush, immediate finalize write). Both state
+    // writes complete at one instant t; the storage wakeup pumps at
+    // t + 1 ns, and handling the first completion starts its queued log
+    // write at t + 1 ns. The second completion's `storage_done` at t must
+    // still be recorded before that start, or the trace reads back as
+    // "time goes backwards" (debug builds assert in `Trace` itself).
+    let mut cfg = RunConfig::new(2, 0);
+    cfg.workload = WorkloadSpec::uniform_mesh(SimDuration::from_millis(4));
+    cfg.checkpoint_interval = SimDuration::from_millis(100);
+    cfg.workload_duration = SimDuration::from_millis(200);
+    cfg.state_bytes = 1024;
+    cfg.stagger_initiation = false;
+    cfg.trace = true;
+    let ocfg = ocpt_core::OcptConfig {
+        flush_policy: ocpt_core::FlushPolicy::Eager,
+        finalize_write: ocpt_core::WritePolicy::Immediate,
+        ..Default::default()
+    };
+    let r = run_checked(&Algo::Ocpt(ocfg), cfg);
+    let file = ocpt_telemetry::parse_jsonl(&r.trace_jsonl()).expect("trace reads back");
+    // The scenario did happen: two completions at one instant, then a
+    // write start one nanosecond later.
+    let recs = &file.recs;
+    let hit = recs.windows(2).any(|w| {
+        w[0].kind == "storage_done"
+            && w[1].kind == "storage_done"
+            && w[0].at == w[1].at
+            && recs.iter().any(|s| s.kind == "storage_start" && s.at == w[1].at + 1)
+    });
+    assert!(hit, "no simultaneous completions with a queued write in this run");
+}

@@ -99,7 +99,20 @@ impl TraceKind {
     /// Inverse of [`Self::name`] (used by the JSONL parser and the
     /// `ocpt trace grep --kind` filter).
     pub fn from_name(name: &str) -> Option<TraceKind> {
-        TRACE_KINDS.iter().copied().find(|k| k.name() == name)
+        Some(match name {
+            "app_send" => TraceKind::AppSend,
+            "app_recv" => TraceKind::AppRecv,
+            "ctrl_send" => TraceKind::CtrlSend,
+            "ctrl_recv" => TraceKind::CtrlRecv,
+            "tentative_ckpt" => TraceKind::TentativeCkpt,
+            "finalize_ckpt" => TraceKind::FinalizeCkpt,
+            "storage_start" => TraceKind::StorageStart,
+            "storage_done" => TraceKind::StorageDone,
+            "crash" => TraceKind::Crash,
+            "recover" => TraceKind::Recover,
+            "note" => TraceKind::Note,
+            _ => return None,
+        })
     }
 
     /// The default event code recorded when the producer has nothing more
@@ -191,7 +204,9 @@ impl Trace {
 
     /// Record one fully-specified occurrence (no-op when disabled). This
     /// is the only path that appends; the other `record*` methods and
-    /// [`Self::note`] delegate here.
+    /// [`Self::note`] delegate here. Records must come in time order (the
+    /// JSONL parser rejects a trace whose time goes backwards); debug
+    /// builds assert it here, where the offending producer is on the stack.
     pub fn record_coded(
         &mut self,
         at: SimTime,
@@ -202,6 +217,11 @@ impl Trace {
         detail: impl Into<String>,
     ) {
         if self.enabled {
+            let last = self.events.last().map_or(SimTime::ZERO, |e| e.at);
+            debug_assert!(
+                last <= at,
+                "trace time goes backwards: {kind:?} {code} at {at} after {last}"
+            );
             self.events.push(TraceEvent { at, pid, kind, code, seq, detail: detail.into() });
         }
     }

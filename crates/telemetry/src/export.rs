@@ -30,39 +30,74 @@ pub const SCHEMA_NAME: &str = "ocpt-trace";
 /// The schema version this crate writes (and the only one it reads).
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Serialize a live trace to JSONL (header + one line per event).
+/// Serialize a live trace to JSONL (header + one line per event), in one
+/// pass straight from the events.
 pub fn to_jsonl(meta: &TraceMeta, events: &[TraceEvent]) -> String {
-    let recs: Vec<Rec> = events.iter().map(Rec::from_event).collect();
-    recs_to_jsonl(meta, &recs)
+    let body = events.iter().map(|e| LINE_BYTES + e.code.len() + e.detail.len()).sum();
+    let mut out = start_jsonl(meta, events.len(), body);
+    for e in events {
+        push_event(&mut out, e.at.as_nanos(), e.pid.0, e.kind.name(), e.code, e.seq, &e.detail);
+    }
+    out
 }
 
 /// Serialize owned records to JSONL (header + one line per record).
 pub fn recs_to_jsonl(meta: &TraceMeta, recs: &[Rec]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        &Obj::new()
-            .str("schema", SCHEMA_NAME)
-            .u64("version", SCHEMA_VERSION)
-            .str("algo", &meta.algo)
-            .u64("n", meta.n as u64)
-            .u64("seed", meta.seed)
-            .u64("events", recs.len() as u64)
-            .finish(),
-    );
-    out.push('\n');
+    let body = recs.iter().map(|r| LINE_BYTES + r.code.len() + r.detail.len()).sum();
+    let mut out = start_jsonl(meta, recs.len(), body);
     for r in recs {
-        let mut o = Obj::new()
-            .u64("at", r.at)
-            .u64("pid", r.pid as u64)
-            .str("kind", &r.kind)
-            .str("code", &r.code);
-        if let Some(seq) = r.seq {
-            o = o.u64("seq", seq);
-        }
-        out.push_str(&o.str("detail", &r.detail).finish());
-        out.push('\n');
+        push_event(&mut out, r.at, r.pid, &r.kind, &r.code, r.seq, &r.detail);
     }
     out
+}
+
+/// Bytes of an event line besides its `code` and `detail` text: 54 of
+/// keys and punctuation, plus a kind name and typical `at`/`pid`/`seq`
+/// digits. Only a capacity hint.
+const LINE_BYTES: usize = 80;
+
+/// A buffer holding the header line, with room for `body` more bytes.
+fn start_jsonl(meta: &TraceMeta, events: usize, body: usize) -> String {
+    let header = Obj::new()
+        .str("schema", SCHEMA_NAME)
+        .u64("version", SCHEMA_VERSION)
+        .str("algo", &meta.algo)
+        .u64("n", meta.n as u64)
+        .u64("seed", meta.seed)
+        .u64("events", events as u64)
+        .finish();
+    let mut out = String::with_capacity(header.len() + 1 + body);
+    out.push_str(&header);
+    out.push('\n');
+    out
+}
+
+/// Append one event line: the only place the event-line format is spelled.
+fn push_event(
+    out: &mut String,
+    at: u64,
+    pid: u32,
+    kind: &str,
+    code: &str,
+    seq: Option<u64>,
+    detail: &str,
+) {
+    out.push_str("{\"at\":");
+    json::push_u64(out, at);
+    out.push_str(",\"pid\":");
+    json::push_u64(out, u64::from(pid));
+    out.push_str(",\"kind\":\"");
+    json::escape_into(out, kind);
+    out.push_str("\",\"code\":\"");
+    json::escape_into(out, code);
+    out.push('"');
+    if let Some(seq) = seq {
+        out.push_str(",\"seq\":");
+        json::push_u64(out, seq);
+    }
+    out.push_str(",\"detail\":\"");
+    json::escape_into(out, detail);
+    out.push_str("\"}\n");
 }
 
 fn get_u64(fields: &[(String, Value)], key: &str, what: &str) -> Result<u64, String> {
@@ -80,6 +115,55 @@ fn get_str(fields: &[(String, Value)], key: &str, what: &str) -> Result<String, 
         .and_then(|(_, v)| v.as_str())
         .map(str::to_string)
         .ok_or_else(|| format!("{what}: missing string field \"{key}\""))
+}
+
+/// The integer in `slot`, or the "missing integer field" error.
+fn take_u64(slot: Option<Value>, key: &str) -> Result<u64, String> {
+    slot.as_ref().and_then(Value::as_u64).ok_or_else(|| format!("missing integer field \"{key}\""))
+}
+
+/// The string in `slot`, moved out, or the "missing string field" error.
+fn take_str(slot: Option<Value>, key: &str) -> Result<String, String> {
+    match slot {
+        Some(Value::Str(s)) => Ok(s),
+        _ => Err(format!("missing string field \"{key}\"")),
+    }
+}
+
+/// Parse one event line whose time may not precede `last_at`. The
+/// caller adds the line number to an error, so the happy path formats
+/// nothing.
+fn parse_event(line: &str, last_at: u64) -> Result<Rec, String> {
+    // One slot per event field, keeping the first occurrence of its key;
+    // later duplicates and unknown keys are ignored.
+    let (mut at, mut pid, mut kind, mut code, mut seq, mut detail) =
+        (None, None, None, None, None, None);
+    json::parse_object_with(line, |key, value| {
+        let slot = match key {
+            "at" => &mut at,
+            "pid" => &mut pid,
+            "kind" => &mut kind,
+            "code" => &mut code,
+            "seq" => &mut seq,
+            "detail" => &mut detail,
+            _ => return,
+        };
+        slot.get_or_insert(value);
+    })?;
+    let kind = take_str(kind, "kind")?;
+    if TraceKind::from_name(&kind).is_none() {
+        return Err(format!("unknown event kind \"{kind}\""));
+    }
+    let at = take_u64(at, "at")?;
+    if at < last_at {
+        return Err(format!("time goes backwards ({at} < {last_at})"));
+    }
+    let pid = take_u64(pid, "pid")?;
+    let pid = u32::try_from(pid).map_err(|_| format!("pid {pid} out of range"))?;
+    let seq = seq.map(|v| v.as_u64().ok_or("\"seq\" must be an integer")).transpose()?;
+    let code = take_str(code, "code")?;
+    let detail = take_str(detail, "detail")?;
+    Ok(Rec { at, pid, kind, code, seq, detail })
 }
 
 /// Parse a JSONL trace. Validates the schema name/version, every event
@@ -105,38 +189,18 @@ pub fn parse_jsonl(text: &str) -> Result<TraceFile, String> {
     };
     let declared = get_u64(&hf, "events", "header")?;
 
-    let mut recs = Vec::new();
+    // The declared count is only trusted as far as the text could hold
+    // that many event lines.
+    let mut recs =
+        Vec::with_capacity(usize::try_from(declared).unwrap_or(usize::MAX).min(text.len() / 48));
     let mut last_at = 0u64;
     for (idx, line) in lines {
         if line.is_empty() {
             continue;
         }
-        let what = format!("line {}", idx + 1);
-        let f = json::parse_object(line).map_err(|e| format!("{what}: {e}"))?;
-        let kind = get_str(&f, "kind", &what)?;
-        if TraceKind::from_name(&kind).is_none() {
-            return Err(format!("{what}: unknown event kind \"{kind}\""));
-        }
-        let at = get_u64(&f, "at", &what)?;
-        if at < last_at {
-            return Err(format!("{what}: time goes backwards ({at} < {last_at})"));
-        }
-        last_at = at;
-        let pid = get_u64(&f, "pid", &what)?;
-        let pid = u32::try_from(pid).map_err(|_| format!("{what}: pid {pid} out of range"))?;
-        let seq = f
-            .iter()
-            .find(|(k, _)| k == "seq")
-            .map(|(_, v)| v.as_u64().ok_or_else(|| format!("{what}: \"seq\" must be an integer")));
-        let seq = seq.transpose()?;
-        recs.push(Rec {
-            at,
-            pid,
-            kind,
-            code: get_str(&f, "code", &what)?,
-            seq,
-            detail: get_str(&f, "detail", &what)?,
-        });
+        let rec = parse_event(line, last_at).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        last_at = rec.at;
+        recs.push(rec);
     }
     if recs.len() as u64 != declared {
         return Err(format!(

@@ -4,11 +4,14 @@
 //! unsigned integers; the `ocpt-metrics` schema adds non-negative floats,
 //! one level of nested objects and `null` (the writer's spelling of a
 //! non-finite float). This module implements exactly that subset —
-//! deliberately, not as a stopgap: a ~200-line parser we own is auditable
-//! against the byte-determinism guarantee, and the build environment has
-//! no crates.io access anyway. Negative numbers, booleans and arrays are
-//! rejected because no exporter emits them.
+//! deliberately, not as a stopgap: a parser we own — one recursive-descent
+//! walker, [`parse_object_with`], with [`parse_object`] as a thin
+//! collector over it — is auditable against the byte-determinism
+//! guarantee, and the build environment has no crates.io access anyway.
+//! Negative numbers, booleans and arrays are rejected because no exporter
+//! emits them.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A value in a schema object.
@@ -66,23 +69,50 @@ impl Value {
     }
 }
 
-/// Escape `s` into a JSON string literal body (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
+/// Append `s` to `out` as a JSON string literal body (no surrounding
+/// quotes). Runs of bytes that need no escape are copied as one slice.
+pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &c) in s.as_bytes().iter().enumerate() {
+        if c >= 0x20 && c != b'"' && c != b'\\' {
+            continue;
+        }
+        // `c` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(c >> 4)] as char);
+                out.push(HEX[usize::from(c & 0xf)] as char);
             }
-            c => out.push(c),
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Append the decimal digits of `v` to `out` (what `{v}` formats to,
+/// without the formatting machinery).
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out
+    for &d in &buf[i..] {
+        out.push(d as char);
+    }
 }
 
 /// An in-order JSON object writer. Field order is the call order, which
@@ -104,20 +134,24 @@ impl Obj {
             self.buf.push(',');
         }
         self.first = false;
-        let _ = write!(self.buf, "\"{}\":", escape(k));
+        self.buf.push('"');
+        escape_into(&mut self.buf, k);
+        self.buf.push_str("\":");
     }
 
     /// Append a string field.
     pub fn str(mut self, k: &str, v: &str) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "\"{}\"", escape(v));
+        self.buf.push('"');
+        escape_into(&mut self.buf, v);
+        self.buf.push('"');
         self
     }
 
     /// Append an unsigned-integer field.
     pub fn u64(mut self, k: &str, v: u64) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "{v}");
+        push_u64(&mut self.buf, v);
         self
     }
 
@@ -158,26 +192,41 @@ impl Default for Obj {
 /// carry a human-readable reason; positions are byte offsets into
 /// `line`.
 pub fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
+    let mut fields = Vec::new();
+    parse_object_with(line, |k, v| fields.push((k.to_string(), v)))?;
+    Ok(fields)
+}
+
+/// Walk one JSON object, handing each top-level field to `field` in
+/// document order instead of collecting them. The key is borrowed from
+/// `line` unless it contains escapes. This is the walker
+/// [`parse_object`] is built on, so both accept the same language and
+/// fail with the same errors; `field` may already have seen some fields
+/// when an error is returned.
+pub fn parse_object_with(line: &str, mut field: impl FnMut(&str, Value)) -> Result<(), String> {
     let b = line.as_bytes();
-    let (fields, next) = parse_object_at(line, skip_ws(b, 0))?;
+    let next = walk_object(line, skip_ws(b, 0), &mut field)?;
     let i = skip_ws(b, next);
     if i != b.len() {
         return Err(format!("trailing content at byte {i}"));
     }
-    Ok(fields)
+    Ok(())
 }
 
-/// Parse an object starting at the `{` at byte `i`; returns the fields
-/// and the index just past the closing `}`.
-fn parse_object_at(line: &str, mut i: usize) -> Result<(Vec<(String, Value)>, usize), String> {
+/// Walk an object starting at the `{` at byte `i`; returns the index just
+/// past the closing `}`.
+fn walk_object(
+    line: &str,
+    mut i: usize,
+    field: &mut impl FnMut(&str, Value),
+) -> Result<usize, String> {
     let b = line.as_bytes();
     if b.get(i) != Some(&b'{') {
         return Err(format!("expected '{{' at byte {i}"));
     }
     i = skip_ws(b, i + 1);
-    let mut fields = Vec::new();
     if b.get(i) == Some(&b'}') {
-        return Ok((fields, i + 1));
+        return Ok(i + 1);
     }
     loop {
         let (key, next) = parse_string(line, i)?;
@@ -187,11 +236,11 @@ fn parse_object_at(line: &str, mut i: usize) -> Result<(Vec<(String, Value)>, us
         }
         i = skip_ws(b, i + 1);
         let (value, next) = parse_value(line, i)?;
-        fields.push((key, value));
+        field(&key, value);
         i = skip_ws(b, next);
         match b.get(i) {
             Some(b',') => i = skip_ws(b, i + 1),
-            Some(b'}') => return Ok((fields, i + 1)),
+            Some(b'}') => return Ok(i + 1),
             _ => return Err(format!("expected ',' or '}}' at byte {i}")),
         }
     }
@@ -207,8 +256,12 @@ fn skip_ws(b: &[u8], mut i: usize) -> usize {
 fn parse_value(line: &str, i: usize) -> Result<(Value, usize), String> {
     let b = line.as_bytes();
     match b.get(i) {
-        Some(b'"') => parse_string(line, i).map(|(s, n)| (Value::Str(s), n)),
-        Some(b'{') => parse_object_at(line, i).map(|(f, n)| (Value::Obj(f), n)),
+        Some(b'"') => parse_string(line, i).map(|(s, n)| (Value::Str(s.into_owned()), n)),
+        Some(b'{') => {
+            let mut fields = Vec::new();
+            let next = walk_object(line, i, &mut |k: &str, v| fields.push((k.to_string(), v)))?;
+            Ok((Value::Obj(fields), next))
+        }
         Some(b'n') if line[i..].starts_with("null") => Ok((Value::Null, i + 4)),
         Some(c) if c.is_ascii_digit() => parse_number(line, i),
         _ => Err(format!("expected string, number, object or null at byte {i}")),
@@ -222,7 +275,10 @@ fn parse_value(line: &str, i: usize) -> Result<(Value, usize), String> {
 fn parse_number(line: &str, i: usize) -> Result<(Value, usize), String> {
     let b = line.as_bytes();
     let mut j = i;
-    while matches!(b.get(j), Some(c) if c.is_ascii_digit()) {
+    // The integer value of the leading digit run; `None` once it overflows.
+    let mut int = Some(0u64);
+    while let Some(&c) = b.get(j).filter(|c| c.is_ascii_digit()) {
+        int = int.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(c - b'0')));
         j += 1;
     }
     let mut float = false;
@@ -256,26 +312,41 @@ fn parse_number(line: &str, i: usize) -> Result<(Value, usize), String> {
         }
         Ok((Value::F64(num), j))
     } else {
-        let num: u64 =
-            line[i..j].parse().map_err(|_| format!("integer out of range at byte {i}"))?;
+        let num = int.ok_or_else(|| format!("integer out of range at byte {i}"))?;
         Ok((Value::UInt(num), j))
     }
 }
 
 /// Parse a JSON string literal starting at the opening quote; returns the
-/// unescaped content and the index just past the closing quote.
-fn parse_string(line: &str, i: usize) -> Result<(String, usize), String> {
+/// unescaped content and the index just past the closing quote. Content
+/// without escapes is borrowed from `line`; otherwise the unescaped runs
+/// between escapes are copied as slices.
+fn parse_string(line: &str, i: usize) -> Result<(Cow<'_, str>, usize), String> {
     let b = line.as_bytes();
     if b.get(i) != Some(&b'"') {
         return Err(format!("expected '\"' at byte {i}"));
     }
-    let mut out = String::new();
-    let mut j = i + 1;
+    // `"` and `\` are ASCII and never occur inside a multi-byte UTF-8
+    // sequence, so every run boundary below is a char boundary.
+    let mut out: Option<String> = None;
+    let mut run = i + 1;
+    let mut j = run;
     loop {
         match b.get(j) {
             None => return Err(format!("unterminated string starting at byte {i}")),
-            Some(b'"') => return Ok((out, j + 1)),
+            Some(b'"') => {
+                let s = match out {
+                    None => Cow::Borrowed(&line[run..j]),
+                    Some(mut s) => {
+                        s.push_str(&line[run..j]);
+                        Cow::Owned(s)
+                    }
+                };
+                return Ok((s, j + 1));
+            }
             Some(b'\\') => {
+                let out = out.get_or_insert_with(String::new);
+                out.push_str(&line[run..j]);
                 j += 1;
                 match b.get(j) {
                     Some(b'"') => out.push('"'),
@@ -302,13 +373,9 @@ fn parse_string(line: &str, i: usize) -> Result<(String, usize), String> {
                     _ => return Err(format!("bad escape at byte {j}")),
                 }
                 j += 1;
+                run = j;
             }
-            Some(_) => {
-                // Advance one full UTF-8 character.
-                let c = line[j..].chars().next().ok_or("utf-8 boundary error")?;
-                out.push(c);
-                j += c.len_utf8();
-            }
+            Some(_) => j += 1,
         }
     }
 }
@@ -321,6 +388,35 @@ mod tests {
     fn writer_orders_fields_and_escapes() {
         let s = Obj::new().str("a", "x\"y\n").u64("b", 7).finish();
         assert_eq!(s, "{\"a\":\"x\\\"y\\n\",\"b\":7}");
+    }
+
+    #[test]
+    fn escape_into_copies_runs_and_escapes_controls() {
+        let mut out = String::from("x");
+        escape_into(&mut out, "é\"\\\n\r\t\u{1}\u{1f}\u{7f}漢");
+        assert_eq!(out, "xé\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}漢");
+        let mut digits = String::new();
+        for v in [0, 7, 10, u64::MAX] {
+            push_u64(&mut digits, v);
+            digits.push(' ');
+        }
+        assert_eq!(digits, "0 7 10 18446744073709551615 ");
+    }
+
+    #[test]
+    fn walker_hands_over_fields_in_document_order() {
+        let mut seen = Vec::new();
+        parse_object_with("{\"a\":\"x\\ty\",\"b\\u0041\":{\"c\":1}}", |k, v| {
+            seen.push((k.to_string(), v));
+        })
+        .expect("valid object");
+        assert_eq!(seen[0], ("a".into(), Value::Str("x\ty".into())));
+        assert_eq!(seen[1].0, "bA");
+        assert_eq!(seen[1].1.get("c"), Some(&Value::UInt(1)));
+        assert_eq!(
+            parse_object_with("{\"a\":18446744073709551616}", |_, _| {}),
+            Err("integer out of range at byte 5".to_string())
+        );
     }
 
     #[test]
